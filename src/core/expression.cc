@@ -62,57 +62,56 @@ bool Expression::IsMonotonic() const {
 }
 
 Result<Schema> Expression::InferSchema(const Database& db) const {
+  Schema l;
+  Schema r;
+  if (left_ != nullptr) {
+    EXPDB_ASSIGN_OR_RETURN(l, left_->InferSchema(db));
+  }
+  if (right_ != nullptr) {
+    EXPDB_ASSIGN_OR_RETURN(r, right_->InferSchema(db));
+  }
+  return DeriveSchema(db, left_ ? &l : nullptr, right_ ? &r : nullptr);
+}
+
+Result<Schema> Expression::DeriveSchema(const Database& db,
+                                        const Schema* left,
+                                        const Schema* right) const {
   switch (kind_) {
     case ExprKind::kBase: {
       EXPDB_ASSIGN_OR_RETURN(const Relation* rel,
                              db.GetRelation(relation_name_));
       return rel->schema();
     }
-    case ExprKind::kSelect: {
-      EXPDB_ASSIGN_OR_RETURN(Schema child, left_->InferSchema(db));
-      EXPDB_RETURN_NOT_OK(predicate_.Validate(child));
-      return child;
-    }
-    case ExprKind::kProject: {
-      EXPDB_ASSIGN_OR_RETURN(Schema child, left_->InferSchema(db));
-      return child.Project(projection_);
-    }
-    case ExprKind::kProduct: {
-      EXPDB_ASSIGN_OR_RETURN(Schema l, left_->InferSchema(db));
-      EXPDB_ASSIGN_OR_RETURN(Schema r, right_->InferSchema(db));
-      return l.Concat(r);
-    }
+    case ExprKind::kSelect:
+      EXPDB_RETURN_NOT_OK(predicate_.Validate(*left));
+      return *left;
+    case ExprKind::kProject:
+      return left->Project(projection_);
+    case ExprKind::kProduct:
+      return left->Concat(*right);
     case ExprKind::kJoin: {
-      EXPDB_ASSIGN_OR_RETURN(Schema l, left_->InferSchema(db));
-      EXPDB_ASSIGN_OR_RETURN(Schema r, right_->InferSchema(db));
-      Schema joined = l.Concat(r);
+      Schema joined = left->Concat(*right);
       EXPDB_RETURN_NOT_OK(predicate_.Validate(joined));
       return joined;
     }
     case ExprKind::kSemiJoin:
-    case ExprKind::kAntiJoin: {
+    case ExprKind::kAntiJoin:
       // Output schema is the left input's; the predicate ranges over the
       // concatenation (as in the join these operators derive from).
-      EXPDB_ASSIGN_OR_RETURN(Schema l, left_->InferSchema(db));
-      EXPDB_ASSIGN_OR_RETURN(Schema r, right_->InferSchema(db));
-      EXPDB_RETURN_NOT_OK(predicate_.Validate(l.Concat(r)));
-      return l;
-    }
+      EXPDB_RETURN_NOT_OK(predicate_.Validate(left->Concat(*right)));
+      return *left;
     case ExprKind::kUnion:
     case ExprKind::kIntersect:
-    case ExprKind::kDifference: {
-      EXPDB_ASSIGN_OR_RETURN(Schema l, left_->InferSchema(db));
-      EXPDB_ASSIGN_OR_RETURN(Schema r, right_->InferSchema(db));
-      if (!l.UnionCompatibleWith(r)) {
+    case ExprKind::kDifference:
+      if (!left->UnionCompatibleWith(*right)) {
         return Status::TypeError(
             std::string(ExprKindToString(kind_)) +
-            " requires union-compatible inputs, got " + l.ToString() +
-            " and " + r.ToString());
+            " requires union-compatible inputs, got " + left->ToString() +
+            " and " + right->ToString());
       }
-      return l;
-    }
+      return *left;
     case ExprKind::kAggregate: {
-      EXPDB_ASSIGN_OR_RETURN(Schema child, left_->InferSchema(db));
+      const Schema& child = *left;
       for (size_t j : group_by_) {
         if (!child.IsValidIndex(j)) {
           return Status::OutOfRange("grouping attribute " +

@@ -73,7 +73,15 @@ class Expression : public std::enable_shared_from_this<Expression> {
 
   /// \brief Output schema given the base relations in `db`; also validates
   /// predicates, projections, union compatibility, and aggregate inputs.
+  /// Applies DeriveSchema bottom-up (left subtree, right subtree, node).
   Result<Schema> InferSchema(const Database& db) const;
+
+  /// \brief The one-level rule behind InferSchema: this node's output
+  /// schema from its children's schemas, with this node's validation.
+  /// `left`/`right` must be non-null exactly where the node has that
+  /// child; a base node reads its schema from `db`.
+  Result<Schema> DeriveSchema(const Database& db, const Schema* left,
+                              const Schema* right) const;
 
   /// \brief Names of all base relations referenced by this expression.
   std::set<std::string> BaseRelationNames() const;

@@ -24,8 +24,9 @@ size_t MixHash(size_t h) { return h * 0x9e3779b97f4a7c15ULL; }
 }  // namespace
 
 JoinKeyIndex::JoinKeyIndex(const Relation& build, const Predicate& predicate,
-                           size_t n_left, size_t workers)
-    : predicate_(predicate) {
+                           size_t n_left, size_t workers,
+                           const std::vector<Value>& params)
+    : predicate_(predicate), params_(params) {
   for (auto [a, b] : predicate.TopLevelEqualities()) {
     if (a < n_left && b >= n_left) {
       left_cols_.push_back(a);
@@ -177,7 +178,7 @@ std::optional<Timestamp> JoinKeyIndex::MaxMatchTexp(
   if (covered_) return group->max_texp;  // key match implies the predicate
   std::optional<Timestamp> best;
   for (const Candidate& c : group->candidates) {
-    if (!predicate_.Evaluate(left_tuple.Concat(*c.tuple))) continue;
+    if (!predicate_.Evaluate(left_tuple.Concat(*c.tuple), params_)) continue;
     if (!best || c.texp > *best) best = c.texp;
   }
   return best;

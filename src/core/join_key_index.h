@@ -50,10 +50,13 @@ class JoinKeyIndex {
 
   /// Indexes `build` (the right input, attribute offset `n_left` in the
   /// predicate's frame). `workers` > 1 partitions the build by key hash
-  /// and fills the partitions in parallel on the shared pool. `build`
-  /// must outlive the index and stay unmodified.
+  /// and fills the partitions in parallel on the shared pool. `params`
+  /// are the arguments the predicate's parameter operands resolve to.
+  /// `build`, `predicate` and `params` must outlive the index and stay
+  /// unmodified.
   JoinKeyIndex(const Relation& build, const Predicate& predicate,
-               size_t n_left, size_t workers = 1);
+               size_t n_left, size_t workers = 1,
+               const std::vector<Value>& params = Predicate::NoParams());
 
   /// True when cross-side equality columns were extracted.
   bool has_keys() const { return !left_cols_.empty(); }
@@ -94,6 +97,7 @@ class JoinKeyIndex {
                            const Relation::Entry& entry);
 
   const Predicate& predicate_;
+  const std::vector<Value>& params_;
   std::vector<size_t> left_cols_, right_cols_;
   bool covered_ = false;
   std::vector<Partition> partitions_;  // size 1 when keyless or serial

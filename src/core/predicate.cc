@@ -72,18 +72,19 @@ struct Predicate::Node {
     return n;
   }
 
-  bool Evaluate(const Tuple& t) const {
+  bool Evaluate(const Tuple& t, const std::vector<Value>& params) const {
     switch (kind) {
       case Kind::kLiteral:
         return literal;
       case Kind::kCompare:
-        return ApplyComparison(lhs.Resolve(t), op, rhs.Resolve(t));
+        return ApplyComparison(lhs.Resolve(t, params), op,
+                               rhs.Resolve(t, params));
       case Kind::kAnd:
-        return left->Evaluate(t) && right->Evaluate(t);
+        return left->Evaluate(t, params) && right->Evaluate(t, params);
       case Kind::kOr:
-        return left->Evaluate(t) || right->Evaluate(t);
+        return left->Evaluate(t, params) || right->Evaluate(t, params);
       case Kind::kNot:
-        return !left->Evaluate(t);
+        return !left->Evaluate(t, params);
     }
     return false;
   }
@@ -196,43 +197,6 @@ struct Predicate::Node {
         return left->ParameterCount();
     }
     return 0;
-  }
-
-  Result<std::shared_ptr<const Node>> BindParams(
-      const std::vector<Value>& args) const {
-    switch (kind) {
-      case Kind::kLiteral:
-        return std::shared_ptr<const Node>(std::make_shared<Node>(*this));
-      case Kind::kCompare: {
-        auto bind_op = [&](const Operand& o) -> Result<Operand> {
-          if (!o.is_parameter()) return o;
-          if (o.parameter_index() >= args.size()) {
-            return Status::InvalidArgument(
-                "parameter ?" + std::to_string(o.parameter_index() + 1) +
-                " has no bound value (" + std::to_string(args.size()) +
-                " supplied)");
-          }
-          return Operand::Constant(args[o.parameter_index()]);
-        };
-        auto n = std::make_shared<Node>(*this);
-        EXPDB_ASSIGN_OR_RETURN(n->lhs, bind_op(lhs));
-        EXPDB_ASSIGN_OR_RETURN(n->rhs, bind_op(rhs));
-        return std::shared_ptr<const Node>(n);
-      }
-      case Kind::kAnd:
-      case Kind::kOr: {
-        auto n = std::make_shared<Node>(*this);
-        EXPDB_ASSIGN_OR_RETURN(n->left, left->BindParams(args));
-        EXPDB_ASSIGN_OR_RETURN(n->right, right->BindParams(args));
-        return std::shared_ptr<const Node>(n);
-      }
-      case Kind::kNot: {
-        auto n = std::make_shared<Node>(*this);
-        EXPDB_ASSIGN_OR_RETURN(n->left, left->BindParams(args));
-        return std::shared_ptr<const Node>(n);
-      }
-    }
-    return std::shared_ptr<const Node>(std::make_shared<Node>(*this));
   }
 
   void CollectTopLevelEqualities(
@@ -374,7 +338,15 @@ Predicate Predicate::Not() const {
   return Predicate(std::move(n));
 }
 
-bool Predicate::Evaluate(const Tuple& t) const { return node_->Evaluate(t); }
+bool Predicate::Evaluate(const Tuple& t,
+                         const std::vector<Value>& params) const {
+  return node_->Evaluate(t, params);
+}
+
+const std::vector<Value>& Predicate::NoParams() {
+  static const std::vector<Value> none;
+  return none;
+}
 
 Status Predicate::Validate(const Schema& schema) const {
   return node_->Validate(schema);
@@ -472,19 +444,7 @@ std::optional<bool> Predicate::AsLiteral() const {
   return node_->literal;
 }
 
-bool Predicate::HasParameters() const {
-  return node_->ParameterCount() > 0;
-}
-
 size_t Predicate::ParameterCount() const { return node_->ParameterCount(); }
-
-Result<Predicate> Predicate::BindParameters(
-    const std::vector<Value>& args) const {
-  if (!HasParameters()) return *this;
-  EXPDB_ASSIGN_OR_RETURN(std::shared_ptr<const Node> bound,
-                         node_->BindParams(args));
-  return Predicate(std::move(bound));
-}
 
 std::string Predicate::ToString() const { return node_->ToString(); }
 

@@ -31,9 +31,10 @@ std::string_view ComparisonOpToString(ComparisonOp op);
 
 /// \brief One side of a comparison: an attribute reference (0-based index),
 /// a constant of the attribute domain D, or a statement parameter ($n in
-/// SQL, 0-based here) awaiting a bound value. Parameters exist only in
-/// parameterized plan skeletons; Predicate::BindParameters turns them into
-/// constants before execution.
+/// SQL, 0-based here). Parameters exist only in parameterized plan
+/// skeletons; they are never rewritten into constants. A bound plan
+/// carries its argument vector, and parameter i resolves to argument i
+/// each time the predicate is evaluated.
 class Operand {
  public:
   enum class Kind { kColumn, kConstant, kParameter };
@@ -54,10 +55,15 @@ class Operand {
   size_t parameter_index() const { return index_; }
   const Value& constant() const { return value_; }
 
-  /// The operand's value for a given tuple. An unbound parameter resolves
-  /// to the null Value; plans are parameter-bound before execution.
-  const Value& Resolve(const Tuple& t) const {
-    return kind_ == Kind::kColumn ? t.at(index_) : value_;
+  /// The operand's value for a given tuple and argument vector: a column
+  /// reads the tuple, a constant is itself, and parameter i is
+  /// `params[i]` (the null Value when no argument i was supplied).
+  const Value& Resolve(const Tuple& t, const std::vector<Value>& params) const {
+    if (kind_ == Kind::kColumn) return t.at(index_);
+    if (kind_ == Kind::kParameter && index_ < params.size()) {
+      return params[index_];
+    }
+    return value_;
   }
 
   std::string ToString() const;
@@ -90,9 +96,16 @@ class Predicate {
   Predicate Or(const Predicate& other) const;
   Predicate Not() const;
 
-  /// \brief Evaluates against a tuple. Column indices must be in range
-  /// (checked by Validate at plan time).
-  bool Evaluate(const Tuple& t) const;
+  /// \brief Evaluates against a tuple, with parameter i resolving to
+  /// `params[i]`. Column indices must be in range (checked by Validate at
+  /// plan time).
+  bool Evaluate(const Tuple& t, const std::vector<Value>& params) const;
+  /// \brief Evaluates a predicate without parameters (an unsupplied
+  /// parameter resolves to the null Value).
+  bool Evaluate(const Tuple& t) const { return Evaluate(t, NoParams()); }
+
+  /// The empty argument vector.
+  static const std::vector<Value>& NoParams();
 
   /// \brief Checks every referenced column index against the schema.
   Status Validate(const Schema& schema) const;
@@ -136,17 +149,9 @@ class Predicate {
   /// literal (possibly after FoldConstants); nullopt otherwise.
   std::optional<bool> AsLiteral() const;
 
-  /// \brief True iff some comparison references an unbound parameter.
-  bool HasParameters() const;
-
   /// \brief Number of parameter slots: max parameter index + 1 (0 when the
   /// predicate has no parameters).
   size_t ParameterCount() const;
-
-  /// \brief Returns this predicate with every parameter operand replaced
-  /// by the corresponding constant from `args` (parameter i -> args[i]).
-  /// Fails with InvalidArgument if a parameter index is out of range.
-  Result<Predicate> BindParameters(const std::vector<Value>& args) const;
 
   std::string ToString() const;
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <chrono>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -206,7 +207,10 @@ void HttpEndpoint::Loop(int listen_fd) {
 }
 
 void HttpEndpoint::ServeConnection(int fd) {
-  // Read until the end of the header block (we never accept bodies).
+  // Read until the end of the header block (we never accept bodies), but
+  // never past the read deadline fixed here, at accept time.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kReadDeadlineMs);
   std::string request;
   char buf[2048];
   while (request.find("\r\n\r\n") == std::string::npos &&
@@ -217,8 +221,11 @@ void HttpEndpoint::ServeConnection(int fd) {
                    "Content-Length: 0\r\n\r\n");
       return;
     }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
     pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, kPollTimeoutMs * 5) <= 0) break;
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) break;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));

@@ -57,6 +57,11 @@ class HttpEndpoint {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
+  /// A connection's whole request must arrive within this long of its
+  /// accept; a client that trickles bytes cannot hold the single
+  /// listener past it.
+  static constexpr int kReadDeadlineMs = 1000;
+
   explicit HttpEndpoint(Handler handler);
   ~HttpEndpoint();
 

@@ -310,7 +310,6 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
       case MetricSnapshot::Kind::kHistogram:
         if (entry.histogram != nullptr) {
           const Histogram& h = *entry.histogram;
-          snap.count = h.count();
           snap.sum = h.sum();
           snap.value = h.mean();
           snap.p50 = h.Percentile(50.0);
@@ -318,6 +317,11 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
           snap.p99 = h.Percentile(99.0);
           snap.bucket_bounds = h.bounds();
           snap.bucket_counts = h.BucketCounts();
+          // Another thread may record between the bucket reads and a read
+          // of the count; counting the copied buckets keeps _count equal
+          // to the +Inf bucket of the same snapshot.
+          snap.count = 0;
+          for (uint64_t c : snap.bucket_counts) snap.count += c;
         }
         break;
     }

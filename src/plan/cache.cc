@@ -1,6 +1,5 @@
 #include "plan/cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/log.h"
@@ -28,103 +27,15 @@ obs::Counter* PlanCacheHits() {
 
 // --- parameterized plans ---------------------------------------------------
 
-size_t ExpressionParameterCount(const ExpressionPtr& expr) {
-  if (expr == nullptr) return 0;
-  size_t n = expr->predicate().ParameterCount();
-  n = std::max(n, ExpressionParameterCount(expr->left()));
-  n = std::max(n, ExpressionParameterCount(expr->right()));
-  return n;
-}
-
-Result<ExpressionPtr> BindExpressionParameters(
-    const ExpressionPtr& expr, const std::vector<Value>& args) {
-  if (expr == nullptr || ExpressionParameterCount(expr) == 0) return expr;
-  EXPDB_ASSIGN_OR_RETURN(ExpressionPtr left,
-                         BindExpressionParameters(expr->left(), args));
-  EXPDB_ASSIGN_OR_RETURN(ExpressionPtr right,
-                         BindExpressionParameters(expr->right(), args));
-  switch (expr->kind()) {
-    case ExprKind::kBase:
-      return expr;
-    case ExprKind::kSelect: {
-      EXPDB_ASSIGN_OR_RETURN(Predicate p,
-                             expr->predicate().BindParameters(args));
-      return Expression::MakeSelect(std::move(left), std::move(p));
-    }
-    case ExprKind::kProject:
-      return Expression::MakeProject(std::move(left), expr->projection());
-    case ExprKind::kProduct:
-      return Expression::MakeProduct(std::move(left), std::move(right));
-    case ExprKind::kUnion:
-      return Expression::MakeUnion(std::move(left), std::move(right));
-    case ExprKind::kJoin: {
-      EXPDB_ASSIGN_OR_RETURN(Predicate p,
-                             expr->predicate().BindParameters(args));
-      return Expression::MakeJoin(std::move(left), std::move(right),
-                                  std::move(p));
-    }
-    case ExprKind::kIntersect:
-      return Expression::MakeIntersect(std::move(left), std::move(right));
-    case ExprKind::kDifference:
-      return Expression::MakeDifference(std::move(left), std::move(right));
-    case ExprKind::kAggregate:
-      return Expression::MakeAggregate(std::move(left), expr->group_by(),
-                                       expr->aggregate());
-    case ExprKind::kSemiJoin: {
-      EXPDB_ASSIGN_OR_RETURN(Predicate p,
-                             expr->predicate().BindParameters(args));
-      return Expression::MakeSemiJoin(std::move(left), std::move(right),
-                                      std::move(p));
-    }
-    case ExprKind::kAntiJoin: {
-      EXPDB_ASSIGN_OR_RETURN(Predicate p,
-                             expr->predicate().BindParameters(args));
-      return Expression::MakeAntiJoin(std::move(left), std::move(right),
-                                      std::move(p));
-    }
-  }
-  return Status::Internal("unhandled expression kind in parameter binding");
-}
-
-namespace {
-
-Result<std::unique_ptr<PlanNode>> CloneBound(const PlanNode& node,
-                                             const std::vector<Value>& args) {
-  auto copy = std::make_unique<PlanNode>();
-  copy->id = node.id;
-  copy->op = node.op;
-  EXPDB_ASSIGN_OR_RETURN(copy->expr,
-                         BindExpressionParameters(node.expr, args));
-  copy->schema = node.schema;
-  copy->est_rows = node.est_rows;
-  copy->build_left = node.build_left;
-  copy->cse_id = node.cse_id;
-  copy->const_false = node.const_false;
-  copy->parallel = node.parallel;
-  if (node.left != nullptr) {
-    EXPDB_ASSIGN_OR_RETURN(copy->left, CloneBound(*node.left, args));
-  }
-  if (node.right != nullptr) {
-    EXPDB_ASSIGN_OR_RETURN(copy->right, CloneBound(*node.right, args));
-  }
-  return copy;
-}
-
-}  // namespace
-
 Result<PhysicalPlanPtr> InstantiatePlan(const PhysicalPlanPtr& plan,
                                         const std::vector<Value>& args) {
   if (plan == nullptr) return Status::InvalidArgument("null plan");
-  EXPDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> root,
-                         CloneBound(plan->root(), args));
-  EXPDB_ASSIGN_OR_RETURN(ExpressionPtr source,
-                         BindExpressionParameters(plan->source_expr(), args));
-  EXPDB_ASSIGN_OR_RETURN(
-      ExpressionPtr planned,
-      BindExpressionParameters(plan->planned_expr(), args));
-  return std::make_shared<const PhysicalPlan>(
-      std::move(root), plan->node_count(), std::move(source),
-      std::move(planned), plan->rewrites(), plan->options());
+  if (args.size() != plan->param_count()) {
+    return Status::InvalidArgument(
+        "plan expects " + std::to_string(plan->param_count()) +
+        " arguments, got " + std::to_string(args.size()));
+  }
+  return std::make_shared<const PhysicalPlan>(plan->WithParams(args));
 }
 
 // --- tier 1: statement/plan cache ------------------------------------------

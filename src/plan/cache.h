@@ -3,8 +3,10 @@
 // Tier 1 — StatementCache: parameterized plan skeletons keyed by the
 // normalized statement fingerprint. `WHERE id = 7` and `WHERE id = 9`
 // normalize to the same skeleton with one parameter slot; re-executions
-// skip parsing-adjacent work and the whole planner, paying only
-// InstantiatePlan (a tree clone that binds parameter operands).
+// skip the binder and the whole planner. Binding arguments
+// (InstantiatePlan) copies no plan node: the bound plan shares the
+// skeleton and carries the argument vector, and predicates resolve
+// parameter operands against it as they are evaluated.
 //
 // Tier 2 — ResultCache: fully materialized results keyed by (fingerprint,
 // bound arguments). The paper's central result makes this cache
@@ -47,21 +49,11 @@ obs::Counter* PlanCacheHits();
 
 // --- parameterized plans ---------------------------------------------------
 
-/// \brief Number of parameter slots referenced anywhere in `expr`:
-/// max parameter index + 1 (0 = not parameterized).
-size_t ExpressionParameterCount(const ExpressionPtr& expr);
-
-/// \brief Returns `expr` with every parameter operand bound to the
-/// corresponding constant from `args`. Subtrees without parameters are
-/// shared, not copied. Fails when a parameter index exceeds `args`.
-Result<ExpressionPtr> BindExpressionParameters(const ExpressionPtr& expr,
-                                               const std::vector<Value>& args);
-
 /// \brief Binds a parameterized plan skeleton to concrete argument values:
-/// clones the node tree (ids, schemas, and every optimizer annotation are
-/// preserved) with each node's algebra subtree parameter-bound. No
-/// optimizer pass runs — this is the entire per-execution planning cost of
-/// a statement-cache hit.
+/// returns a plan that shares the skeleton's node tree, expressions,
+/// rewrite report and options, and carries `args` (PhysicalPlan::params).
+/// O(#args); no optimizer pass runs and no node is copied. Fails with
+/// InvalidArgument unless `args` has exactly param_count() values.
 Result<PhysicalPlanPtr> InstantiatePlan(const PhysicalPlanPtr& plan,
                                         const std::vector<Value>& args);
 
@@ -147,9 +139,10 @@ std::string ResultCacheKey(const std::string& fingerprint,
 /// \brief LRU-over-byte-budget cache of materialized query results,
 /// validity-stamped with the paper's computed expiration times.
 ///
-/// Per entry: the instantiated plan, the MaterializedResult, one
-/// Relation::DeltaCursor per base relation, and (when the plan is
-/// incrementalizable) a seeded DeltaPropagator. Lookup outcomes:
+/// Per entry: the bound plan (shared skeleton plus arguments), the
+/// MaterializedResult, one Relation::DeltaCursor per base relation, and
+/// (when the plan is incrementalizable) a seeded DeltaPropagator. Lookup
+/// outcomes:
 ///
 ///   hit    — every cursor unchanged and now < texp: served verbatim.
 ///   patch  — cursors drifted but the delta streams are available and the

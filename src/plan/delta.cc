@@ -308,7 +308,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
       EXPDB_ASSIGN_OR_RETURN(PropOut child, Propagate(*n.left, round));
       const Predicate& p = n.expr->predicate();
       for (const auto& op : child.ops) {
-        if (p.Evaluate(op.entry.tuple)) out.ops.push_back(op);
+        if (p.Evaluate(op.entry.tuple, plan_->params())) out.ops.push_back(op);
       }
       out.texp = child.texp;
       break;
@@ -439,6 +439,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
       }
       NodeState& s = *sit->second;
       const Predicate& p = n.expr->predicate();
+      const std::vector<Value>& params = plan_->params();
       // ΔL against R_old, then ΔR against L_new: the standard incremental
       // join decomposition Δ(L ⋈ R) = ΔL ⋈ R ∪ L' ⋈ ΔR.
       for (const auto& op : left.ops) {
@@ -456,7 +457,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
         for (const auto& re : rb->second) {
           if (re.texp <= round->now) continue;  // pair already invisible
           Tuple joined = t.Concat(re.tuple);
-          if (!s.covered && !p.Evaluate(joined)) continue;
+          if (!s.covered && !p.Evaluate(joined, params)) continue;
           out.ops.push_back(
               {op.is_delete,
                {std::move(joined), Timestamp::Min(op.entry.texp, re.texp)}});
@@ -477,7 +478,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
         for (const auto& le : lb->second) {
           if (le.texp <= round->now) continue;
           Tuple joined = le.tuple.Concat(t);
-          if (!s.covered && !p.Evaluate(joined)) continue;
+          if (!s.covered && !p.Evaluate(joined, params)) continue;
           out.ops.push_back(
               {op.is_delete,
                {std::move(joined), Timestamp::Min(le.texp, op.entry.texp)}});
@@ -495,6 +496,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
       }
       NodeState& s = *sit->second;
       const Predicate& p = n.expr->predicate();
+      const std::vector<Value>& params = plan_->params();
       // Max texp over right entries matching `lt` under the predicate —
       // dead-inclusive, for consistency with the seeded outputs (a dead
       // max only produces dead, invisible outputs).
@@ -504,7 +506,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
         if (rb == s.right_buckets.end()) return std::nullopt;
         std::optional<Timestamp> m;
         for (const auto& re : rb->second) {
-          if (!s.covered && !p.Evaluate(lt.Concat(re.tuple))) continue;
+          if (!s.covered && !p.Evaluate(lt.Concat(re.tuple), params)) continue;
           m = MaxOpt(m, re.texp);
         }
         return m;
@@ -537,7 +539,7 @@ Result<DeltaPropagator::PropOut> DeltaPropagator::Propagate(const PlanNode& n,
         auto lb = s.left_buckets.find(key);
         if (lb != s.left_buckets.end()) {
           for (const auto& le : lb->second) {
-            if (!s.covered && !p.Evaluate(le.tuple.Concat(t))) continue;
+            if (!s.covered && !p.Evaluate(le.tuple.Concat(t), params)) continue;
             if (op.is_delete) {
               // Old max was over the bucket still containing t.
               const auto m_new = match_max(le.tuple);

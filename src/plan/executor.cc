@@ -326,7 +326,7 @@ class PlanExecutor {
     EXPDB_ASSIGN_OR_RETURN(MaterializedResult r, Exec(*n.right));
     const size_t n_left = l.relation.schema().arity();
     JoinKeyIndex index(r.relation, n.expr->predicate(), n_left,
-                       runner_.workers());
+                       runner_.workers(), plan_.params());
 
     struct AntiLocal {
       std::vector<Relation::Entry> result;
@@ -509,7 +509,7 @@ class PlanExecutor {
         in.size(),
         [&](size_t begin, size_t end, std::vector<Relation::Entry>* outv) {
           for (size_t i = begin; i < end; ++i) {
-            if (p.Evaluate(in[i].tuple)) {
+            if (p.Evaluate(in[i].tuple, plan_.params())) {
               outv->push_back(in[i]);
             }
           }
@@ -594,6 +594,7 @@ class PlanExecutor {
     EXPDB_ASSIGN_OR_RETURN(MaterializedResult r, Exec(*n.right));
     const Schema joined = l.relation.schema().Concat(r.relation.schema());
     const Predicate& p = n.expr->predicate();
+    const std::vector<Value>& params = plan_.params();
     const size_t n_left = l.relation.schema().arity();
     const size_t n_right = r.relation.schema().arity();
 
@@ -613,7 +614,8 @@ class PlanExecutor {
       for (size_t i = 0; i < n_left; ++i) mirror[i] = n_right + i;
       for (size_t j = 0; j < n_right; ++j) mirror[n_left + j] = j;
       EXPDB_ASSIGN_OR_RETURN(Predicate mirrored, p.RemapColumns(mirror));
-      JoinKeyIndex index(l.relation, mirrored, n_right, runner_.workers());
+      JoinKeyIndex index(l.relation, mirrored, n_right, runner_.workers(),
+                         params);
       const bool covered = index.predicate_covered();
       const std::vector<Relation::Entry>& rin = r.relation.entries();
       entries = runner_.Collect(
@@ -625,7 +627,7 @@ class PlanExecutor {
               if (group == nullptr) continue;
               for (const JoinKeyIndex::Candidate& c : group->candidates) {
                 Tuple joined_tuple = c.tuple->Concat(re.tuple);
-                if (covered || p.Evaluate(joined_tuple)) {
+                if (covered || p.Evaluate(joined_tuple, params)) {
                   outv->push_back({std::move(joined_tuple),
                                    Timestamp::Min(c.texp, re.texp)});
                 }
@@ -633,7 +635,7 @@ class PlanExecutor {
             }
           });
     } else {
-      JoinKeyIndex index(r.relation, p, n_left, runner_.workers());
+      JoinKeyIndex index(r.relation, p, n_left, runner_.workers(), params);
       const bool covered = index.predicate_covered();
       const std::vector<Relation::Entry>& lin = l.relation.entries();
       entries = runner_.Collect(
@@ -645,7 +647,7 @@ class PlanExecutor {
               if (group == nullptr) continue;
               for (const JoinKeyIndex::Candidate& c : group->candidates) {
                 Tuple joined_tuple = le.tuple.Concat(*c.tuple);
-                if (covered || p.Evaluate(joined_tuple)) {
+                if (covered || p.Evaluate(joined_tuple, params)) {
                   outv->push_back({std::move(joined_tuple),
                                    Timestamp::Min(le.texp, c.texp)});
                 }
@@ -689,7 +691,7 @@ class PlanExecutor {
     EXPDB_ASSIGN_OR_RETURN(MaterializedResult r, Exec(*n.right));
     const size_t n_left = l.relation.schema().arity();
     JoinKeyIndex index(r.relation, n.expr->predicate(), n_left,
-                       runner_.workers());
+                       runner_.workers(), plan_.params());
 
     const std::vector<Relation::Entry>& lin = l.relation.entries();
     std::vector<Relation::Entry> entries = runner_.Collect(

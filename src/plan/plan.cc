@@ -159,10 +159,10 @@ void RenderNode(const PlanNode& n, const PlanProfile* profile,
 
 std::string PhysicalPlan::ToString(const PlanProfile* profile) const {
   std::string out = "PhysicalPlan nodes=" + std::to_string(node_count_);
-  if (rewrites_.total() > 0) {
+  if (rewrites().total() > 0) {
     out += " rewrites:";
     bool first = true;
-    for (const auto& [rule, count] : rewrites_.rule_applications) {
+    for (const auto& [rule, count] : rewrites().rule_applications) {
       out += first ? " " : ", ";
       first = false;
       out += rule + "x" + std::to_string(count);
@@ -172,7 +172,7 @@ std::string PhysicalPlan::ToString(const PlanProfile* profile) const {
     out += " total_time=" + FormatDurationNs(profile->total_ns);
   }
   out += "\n";
-  RenderNode(*root_, profile, options_.eval, 0, &out);
+  RenderNode(*root_, profile, options().eval, 0, &out);
   return out;
 }
 

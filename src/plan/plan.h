@@ -156,28 +156,49 @@ using PhysicalPlanPtr = std::shared_ptr<const PhysicalPlan>;
 
 /// \brief An immutable physical plan: safe to cache and to execute
 /// concurrently (execution never mutates the plan).
+///
+/// A parameterized plan is a skeleton plus an argument vector. Binding
+/// (InstantiatePlan) copies only the handles: the node tree, the
+/// expressions, the rewrite report and the options stay shared with the
+/// skeleton, and parameter i resolves to params()[i] whenever a predicate
+/// is evaluated. A plan without parameters has empty params().
 class PhysicalPlan {
  public:
-  PhysicalPlan(std::unique_ptr<PlanNode> root, uint32_t node_count,
-               ExpressionPtr source_expr, ExpressionPtr planned_expr,
-               RewriteReport rewrites, PlannerOptions options)
+  PhysicalPlan(std::shared_ptr<const PlanNode> root, uint32_t node_count,
+               size_t param_count, ExpressionPtr source_expr,
+               ExpressionPtr planned_expr, RewriteReport rewrites,
+               PlannerOptions options)
       : root_(std::move(root)),
         node_count_(node_count),
+        param_count_(param_count),
         source_expr_(std::move(source_expr)),
         planned_expr_(std::move(planned_expr)),
-        rewrites_(std::move(rewrites)),
-        options_(std::move(options)) {}
+        rewrites_(std::make_shared<const RewriteReport>(std::move(rewrites))),
+        options_(std::make_shared<const PlannerOptions>(std::move(options))) {}
+
+  /// \brief This plan's skeleton bound to `params`: shares every part of
+  /// the plan and carries the arguments. O(1) plus the move of `params`.
+  PhysicalPlan WithParams(std::vector<Value> params) const {
+    PhysicalPlan bound = *this;
+    bound.params_ = std::move(params);
+    return bound;
+  }
 
   const PlanNode& root() const { return *root_; }
   /// Number of plan nodes; node ids are 1..node_count().
   uint32_t node_count() const { return node_count_; }
+  /// Number of parameter slots of the source expression (max parameter
+  /// index + 1; 0 when not parameterized). Computed once at planning.
+  size_t param_count() const { return param_count_; }
+  /// The bound arguments: parameter i resolves to params()[i].
+  const std::vector<Value>& params() const { return params_; }
   /// The expression as handed to the planner.
   const ExpressionPtr& source_expr() const { return source_expr_; }
   /// The expression after rewrites and folding (what the plan computes).
   const ExpressionPtr& planned_expr() const { return planned_expr_; }
   /// Which rewrite rules fired during planning.
-  const RewriteReport& rewrites() const { return rewrites_; }
-  const PlannerOptions& options() const { return options_; }
+  const RewriteReport& rewrites() const { return *rewrites_; }
+  const PlannerOptions& options() const { return *options_; }
 
   /// \brief Renders the physical tree, one node per line:
   ///
@@ -190,12 +211,14 @@ class PhysicalPlan {
   std::string ToString(const PlanProfile* profile = nullptr) const;
 
  private:
-  std::unique_ptr<PlanNode> root_;
+  std::shared_ptr<const PlanNode> root_;
   uint32_t node_count_;
+  size_t param_count_;
+  std::vector<Value> params_;
   ExpressionPtr source_expr_;
   ExpressionPtr planned_expr_;
-  RewriteReport rewrites_;
-  PlannerOptions options_;
+  std::shared_ptr<const RewriteReport> rewrites_;
+  std::shared_ptr<const PlannerOptions> options_;
 };
 
 }  // namespace plan

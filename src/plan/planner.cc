@@ -90,10 +90,25 @@ ExpressionPtr FoldPredicates(const ExpressionPtr& e) {
   return e;
 }
 
+/// Number of parameter slots in `e`: max parameter index + 1 over every
+/// predicate of the tree (0 = not parameterized).
+size_t ExpressionParameters(const Expression& e) {
+  size_t n = e.predicate().ParameterCount();
+  if (e.left() != nullptr) {
+    n = std::max(n, ExpressionParameters(*e.left()));
+  }
+  if (e.right() != nullptr) {
+    n = std::max(n, ExpressionParameters(*e.right()));
+  }
+  return n;
+}
+
 /// Builds the physical tree: preorder ids, plan-time schema inference
 /// (which validates predicates, projections, union compatibility, and
 /// aggregate inputs with the interpreter's status codes), cardinality
-/// estimates, build-side selection, and parallelism annotations.
+/// estimates, build-side selection, and parallelism annotations. Children
+/// are built first and each node's schema is derived from theirs, so
+/// validation visits every node once, in the order InferSchema would.
 class Builder {
  public:
   Builder(const Database& db, const PlannerOptions& options)
@@ -106,13 +121,15 @@ class Builder {
     node->id = next_id_++;
     node->op = PlanOpForKind(e->kind());
     node->expr = e;
-    EXPDB_ASSIGN_OR_RETURN(node->schema, e->InferSchema(db_));
     if (e->left() != nullptr) {
       EXPDB_ASSIGN_OR_RETURN(node->left, Build(e->left()));
     }
     if (e->right() != nullptr) {
       EXPDB_ASSIGN_OR_RETURN(node->right, Build(e->right()));
     }
+    const Schema* left = node->left ? &node->left->schema : nullptr;
+    const Schema* right = node->right ? &node->right->schema : nullptr;
+    EXPDB_ASSIGN_OR_RETURN(node->schema, e->DeriveSchema(db_, left, right));
     Annotate(node.get());
     return node;
   }
@@ -193,13 +210,51 @@ class Builder {
   uint32_t next_id_ = 1;
 };
 
+/// The node's own part of its algebra signature: operator and arguments,
+/// without the children (arguments a kind does not use are constant).
+std::string NodeLabel(const Expression& e) {
+  std::string label(ExprKindToString(e.kind()));
+  label += ':' + e.relation_name() + ':' + e.predicate().ToString() + ':' +
+           e.aggregate().ToString() + ':';
+  for (size_t a : e.projection()) label += std::to_string(a) + ',';
+  label += ':';
+  for (size_t a : e.group_by()) label += std::to_string(a) + ',';
+  return label;
+}
+
+/// Interns the algebra signature of every subtree bottom-up: a subtree's
+/// signature is (its children's signature ids, its node label), so two
+/// subtrees get the same id iff they are identical. Fills `sigs` (indexed
+/// by node id) and returns the id of `n`'s subtree.
+uint32_t InternSubtree(const PlanNode& n,
+                       std::unordered_map<std::string, uint32_t>* interned,
+                       std::vector<uint32_t>* sigs) {
+  std::string key;
+  if (n.left != nullptr) {
+    key += std::to_string(InternSubtree(*n.left, interned, sigs));
+  }
+  key += ',';
+  if (n.right != nullptr) {
+    key += std::to_string(InternSubtree(*n.right, interned, sigs));
+  }
+  key += ';';
+  key += NodeLabel(*n.expr);
+  const uint32_t next = static_cast<uint32_t>(interned->size());
+  const uint32_t id = interned->try_emplace(std::move(key), next).first->second;
+  (*sigs)[n.id] = id;
+  return id;
+}
+
 /// Common-subtree detection: non-leaf subtrees with an identical algebra
 /// signature (post-rewrite, post-fold) are grouped; the executor
 /// materializes the first occurrence and reuses the result for the rest.
 /// Exact: identical subexpressions against the same database at the same
-/// τ produce identical MaterializedResults.
-void AssignCommonSubtrees(PlanNode* root) {
-  std::unordered_map<std::string, size_t> counts;
+/// τ produce identical MaterializedResults. Group ids are numbered in
+/// preorder of first occurrence.
+void AssignCommonSubtrees(PlanNode* root, uint32_t node_count) {
+  std::unordered_map<std::string, uint32_t> interned;
+  std::vector<uint32_t> sigs(node_count + 1, 0);
+  InternSubtree(*root, &interned, &sigs);
   std::vector<PlanNode*> preorder;
   std::vector<PlanNode*> stack = {root};
   while (!stack.empty()) {
@@ -210,16 +265,16 @@ void AssignCommonSubtrees(PlanNode* root) {
     if (n->right != nullptr) stack.push_back(n->right.get());
     if (n->left != nullptr) stack.push_back(n->left.get());
   }
+  std::vector<uint32_t> counts(interned.size(), 0);
   for (PlanNode* n : preorder) {
-    if (n->left != nullptr) ++counts[n->expr->ToString()];
+    if (n->left != nullptr) ++counts[sigs[n->id]];
   }
-  std::unordered_map<std::string, int32_t> ids;
+  std::unordered_map<uint32_t, int32_t> ids;
   int32_t next = 0;
   for (PlanNode* n : preorder) {
     if (n == root || n->left == nullptr) continue;
-    const std::string sig = n->expr->ToString();
-    auto it = counts.find(sig);
-    if (it == counts.end() || it->second < 2) continue;
+    const uint32_t sig = sigs[n->id];
+    if (counts[sig] < 2) continue;
     auto [id_it, inserted] = ids.try_emplace(sig, next);
     if (inserted) ++next;
     n->cse_id = id_it->second;
@@ -253,13 +308,15 @@ Result<PhysicalPlanPtr> Planner::Plan(const ExpressionPtr& expr,
   Builder builder(db, options);
   EXPDB_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> root,
                          builder.Build(planned));
-  if (options.detect_common_subtrees) AssignCommonSubtrees(root.get());
+  if (options.detect_common_subtrees) {
+    AssignCommonSubtrees(root.get(), builder.node_count());
+  }
 
   PlannerOptions stored = options;
   stored.rewrite_report = nullptr;  // not owned by the plan
   return PhysicalPlanPtr(std::make_shared<PhysicalPlan>(
-      std::move(root), builder.node_count(), expr, std::move(planned),
-      std::move(report), stored));
+      std::move(root), builder.node_count(), ExpressionParameters(*expr),
+      expr, std::move(planned), std::move(report), stored));
 }
 
 }  // namespace plan

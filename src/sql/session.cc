@@ -397,7 +397,7 @@ Result<ExecResult> Session::ExecutePrepare(const PrepareStatement& stmt) {
   EXPDB_ASSIGN_OR_RETURN(
       prepared.plan,
       plan::Planner::Plan(bound.expr, db(), MakePlannerOptions()));
-  prepared.param_count = plan::ExpressionParameterCount(bound.expr);
+  prepared.param_count = prepared.plan->param_count();
   prepared.fingerprint = FingerprintSelect(stmt.select);
   prepared.column_names = std::move(bound.column_names);
   const size_t params = prepared.param_count;
@@ -788,14 +788,14 @@ Result<ExecResult> Session::ExecuteDelete(const DeleteStatement& stmt) {
         Predicate p, BindWhere(*stmt.where, {TableRef{stmt.table, ""}}, db()));
     pred = std::move(p);
   }
-  size_t deleted = 0;
-  for (const auto& [tuple, texp] : rel->SortedEntries()) {
-    if (texp <= Now()) continue;  // already expired: not visible to DELETE
-    if (!pred.has_value() || pred->Evaluate(tuple)) {
-      rel->Erase(tuple);
-      ++deleted;
-    }
-  }
+  // One pass over the live tuples collects the matches (an already
+  // expired tuple is not visible to DELETE), then they are erased.
+  std::vector<Tuple> doomed;
+  rel->ForEachUnexpired(Now(), [&](const Tuple& tuple, Timestamp) {
+    if (!pred.has_value() || pred->Evaluate(tuple)) doomed.push_back(tuple);
+  });
+  for (const Tuple& tuple : doomed) rel->Erase(tuple);
+  const size_t deleted = doomed.size();
   if (deleted > 0) engine_->views().NotifyBaseChanged(stmt.table);
   return ExecResult{std::to_string(deleted) +
                         (deleted == 1 ? " row" : " rows") + " deleted from " +

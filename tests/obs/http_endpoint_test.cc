@@ -4,6 +4,13 @@
 
 #include "obs/http_endpoint.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +132,54 @@ TEST(HttpEndpointTest, RestartAfterStopBindsAgain) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->body, "alive");
   server.Stop();
+}
+
+// A client that sends one byte every 100 ms never completes its request
+// line; the endpoint must cut it off at the read deadline (not restart
+// its wait after every byte) and then serve the next client.
+TEST(HttpEndpointTest, TricklingClientIsCutOffAtTheReadDeadline) {
+  HttpEndpoint server([](const HttpRequest& req) {
+    HttpResponse resp;
+    resp.body = "served " + req.path;
+    return resp;
+  });
+  const int port = server.Start(0);
+  ASSERT_GT(port, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  // Trickle "GET /slow..." one byte per 100 ms until the server answers
+  // or closes; give up after five deadlines.
+  const std::string trickle = "GET /slow" + std::string(200, 'w');
+  bool cut_off = false;
+  for (size_t i = 0; i < trickle.size() && !cut_off &&
+                     elapsed_ms() < 5 * HttpEndpoint::kReadDeadlineMs;
+       ++i) {
+    if (::send(fd, &trickle[i], 1, MSG_NOSIGNAL) != 1) {
+      cut_off = true;
+      break;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    cut_off = ::poll(&pfd, 1, 100) > 0;
+  }
+  const int64_t waited = elapsed_ms();
+  ::close(fd);
+  EXPECT_TRUE(cut_off);
+  EXPECT_LT(waited, HttpEndpoint::kReadDeadlineMs + 1000);
+  auto resp = HttpGet("127.0.0.1", port, "/healthz");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->body, "served /healthz");
 }
 
 TEST(HttpGetTest, ConnectFailureReportsError) {

@@ -1,15 +1,25 @@
-// Two-tier cache regressions (plan layer): parameterized plan
-// instantiation, result-cache hit/patch/miss outcomes, broken delta
-// history (Relation::Clear), expiry passage, and LRU byte-budget
-// eviction.
+// Two-tier cache regressions (plan layer): parameter binding (a bound
+// plan shares its skeleton and carries its arguments, also under
+// concurrent execution and result-cache patching), result-cache
+// hit/patch/miss outcomes, broken delta history (Relation::Clear), expiry
+// passage, LRU byte-budget eviction, and plan-size scaling of a statement.
 
 #include "plan/cache.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <algorithm>
+#include <chrono>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/expression.h"
 #include "plan/executor.h"
 #include "plan/planner.h"
+#include "sql/session.h"
 
 namespace expdb {
 namespace plan {
@@ -59,14 +69,59 @@ class ResultCacheTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(ResultCacheTest, BindExpressionParameters) {
-  ExpressionPtr expr = ParamExpr();
-  EXPECT_EQ(ExpressionParameterCount(expr), 1u);
-  auto bound = BindExpressionParameters(expr, {V(2)});
+TEST_F(ResultCacheTest, BoundPlanSharesTheSkeleton) {
+  PhysicalPlanPtr skeleton = ParamPlan();
+  EXPECT_EQ(skeleton->param_count(), 1u);
+  EXPECT_TRUE(skeleton->params().empty());
+  auto bound = InstantiatePlan(skeleton, {V(2)});
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-  EXPECT_EQ(ExpressionParameterCount(bound.value()), 0u);
-  // A parameter index beyond the argument vector is an error, not UB.
-  EXPECT_FALSE(BindExpressionParameters(expr, {}).ok());
+  // Binding copies no node and no expression: the bound plan is the
+  // skeleton plus its arguments.
+  EXPECT_EQ(&bound.value()->root(), &skeleton->root());
+  EXPECT_EQ(bound.value()->planned_expr(), skeleton->planned_expr());
+  EXPECT_EQ(bound.value()->source_expr(), skeleton->source_expr());
+  EXPECT_EQ(&bound.value()->options(), &skeleton->options());
+  EXPECT_EQ(bound.value()->params(), std::vector<Value>{V(2)});
+  EXPECT_TRUE(skeleton->params().empty());
+}
+
+TEST_F(ResultCacheTest, InstantiatePlanRejectsWrongArgumentCounts) {
+  PhysicalPlanPtr skeleton = ParamPlan();
+  auto none = InstantiatePlan(skeleton, {});
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+  auto two = InstantiatePlan(skeleton, {V(1), V(2)});
+  ASSERT_FALSE(two.ok());
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument);
+  // A plan without parameters binds only the empty argument vector.
+  PhysicalPlanPtr plain = Planner::Plan(Base("R"), db_).value();
+  EXPECT_EQ(plain->param_count(), 0u);
+  EXPECT_TRUE(InstantiatePlan(plain, {}).ok());
+  EXPECT_EQ(InstantiatePlan(plain, {V(1)}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Two bindings of one skeleton, executed at once from four threads: each
+// execution resolves the parameters against its own plan's arguments.
+TEST_F(ResultCacheTest, ConcurrentBindingsReturnTheirOwnResults) {
+  PhysicalPlanPtr skeleton = ParamPlan();
+  PhysicalPlanPtr ge2 = InstantiatePlan(skeleton, {V(2)}).value();
+  PhysicalPlanPtr ge3 = InstantiatePlan(skeleton, {V(3)}).value();
+  EvalOptions options;
+  options.enable_metrics = false;
+  std::vector<int> wrong(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const bool two = (t + i) % 2 == 0;
+        auto r = ExecutePlan(two ? *ge2 : *ge3, db_, T(0), options);
+        if (!r.ok() || r->relation.size() != (two ? 2u : 1u)) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong, std::vector<int>(4, 0));
 }
 
 TEST_F(ResultCacheTest, InstantiatePlanBindsArguments) {
@@ -183,6 +238,88 @@ TEST_F(ResultCacheTest, ZeroBudgetDisablesTheCache) {
   EXPECT_FALSE(cache.Lookup("k", db_, T(1)).has_value());
 }
 
+using Entries = std::vector<std::pair<Tuple, Timestamp>>;
+
+/// Sorted (tuple, texp) pairs of the tuples live at `now`.
+Entries LiveAt(const Relation& r, Timestamp now) {
+  return r.UnexpiredAt(now).SortedEntries();
+}
+
+/// Fills `cache` with one entry per argument of `skeleton`, inserts
+/// `rows` into `table`, and checks that every entry is patched to exactly
+/// what a fresh execution of its own binding returns.
+void ExpectPatchesMatchFreshExecution(Database* db,
+                                      const PhysicalPlanPtr& skeleton,
+                                      const std::vector<int64_t>& args,
+                                      const std::string& table,
+                                      const std::vector<Tuple>& rows) {
+  ResultCache cache;
+  std::vector<Entries> before;
+  for (int64_t arg : args) {
+    PhysicalPlanPtr bound = InstantiatePlan(skeleton, {V(arg)}).value();
+    NodeCapture capture;
+    MaterializedResult result =
+        ExecutePlan(*bound, *db, T(0), {}, nullptr, &capture).value();
+    before.push_back(LiveAt(result.relation, T(0)));
+    cache.Insert(std::to_string(arg), bound, &capture, std::move(result),
+                 *db, T(0));
+  }
+  ASSERT_EQ(cache.stats().entries, args.size());
+  Relation* rel = db->GetRelation(table).value();
+  for (const Tuple& row : rows) {
+    ASSERT_TRUE(rel->Insert(row, Timestamp::Infinity()).ok());
+  }
+  for (size_t i = 0; i < args.size(); ++i) {
+    SCOPED_TRACE("argument " + std::to_string(args[i]));
+    auto patched = cache.Lookup(std::to_string(args[i]), *db, T(1));
+    ASSERT_TRUE(patched.has_value());
+    PhysicalPlanPtr bound = InstantiatePlan(skeleton, {V(args[i])}).value();
+    MaterializedResult fresh = ExecutePlan(*bound, *db, T(1)).value();
+    EXPECT_EQ(LiveAt(patched->relation, T(1)), LiveAt(fresh.relation, T(1)));
+    // Only the entry whose own argument the inserts match changes.
+    EXPECT_EQ(LiveAt(patched->relation, T(1)) != before[i], i == 0);
+  }
+  EXPECT_EQ(cache.stats().patches, args.size());
+}
+
+// σ_{b = ?1}(P): the insert matches the first entry's argument only.
+TEST_F(ResultCacheTest, PatchedSelectionUsesTheEntrysOwnArgument) {
+  const Schema ab({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}});
+  Relation* p = db_.CreateRelation("P", ab).value();
+  ASSERT_TRUE(p->Insert(Tuple{1, 10}, Timestamp::Infinity()).ok());
+  ASSERT_TRUE(p->Insert(Tuple{2, 20}, Timestamp::Infinity()).ok());
+  const Operand b = Operand::Column(1);
+  const Operand arg = Operand::Parameter(0);
+  const Predicate b_is_arg = Predicate::Compare(b, ComparisonOp::kEq, arg);
+  PhysicalPlanPtr skeleton =
+      Planner::Plan(Select(Base("P"), b_is_arg), db_).value();
+  ExpectPatchesMatchFreshExecution(&db_, skeleton, {10, 20}, "P",
+                                   {Tuple{3, 10}, Tuple{4, 30}});
+}
+
+// L ⋈_{$1 = $3 and $4 = ?1} S: hash join on the key with a parameterized
+// residual; the insert into S matches the first entry's argument only.
+TEST_F(ResultCacheTest, PatchedJoinResidualUsesTheEntrysOwnArgument) {
+  const Schema kx({{"k", ValueType::kInt64}, {"x", ValueType::kInt64}});
+  const Schema ky({{"k", ValueType::kInt64}, {"y", ValueType::kInt64}});
+  Relation* l = db_.CreateRelation("L", kx).value();
+  Relation* s = db_.CreateRelation("S", ky).value();
+  for (int64_t k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(l->Insert(Tuple{k, 100 * k}, Timestamp::Infinity()).ok());
+  }
+  ASSERT_TRUE(s->Insert(Tuple{1, 7}, Timestamp::Infinity()).ok());
+  ASSERT_TRUE(s->Insert(Tuple{2, 8}, Timestamp::Infinity()).ok());
+  const Operand y = Operand::Column(3);
+  const Operand arg = Operand::Parameter(0);
+  const Predicate y_is_arg = Predicate::Compare(y, ComparisonOp::kEq, arg);
+  const Predicate p = Predicate::ColumnsEqual(0, 2).And(y_is_arg);
+  PhysicalPlanPtr skeleton =
+      Planner::Plan(Join(Base("L"), Base("S"), p), db_).value();
+  ASSERT_TRUE(PlanSupportsDelta(*skeleton, skeleton->options().eval));
+  ExpectPatchesMatchFreshExecution(&db_, skeleton, {7, 8}, "S",
+                                   {Tuple{3, 7}, Tuple{1, 9}});
+}
+
 TEST_F(ResultCacheTest, StatementCacheLruAndInvalidation) {
   StatementCache cache(2);
   auto prepared = [&](const std::string& fp) {
@@ -202,6 +339,64 @@ TEST_F(ResultCacheTest, StatementCacheLruAndInvalidation) {
   // Every skeleton reads R: DDL on R empties the cache.
   cache.InvalidateBase("R");
   EXPECT_EQ(cache.size(), 0u);
+}
+
+/// Best-of-three wall time of one UNION chain of `n` branches
+/// `SELECT x FROM t WHERE x = k` through Session::Execute, each run with
+/// fresh literals (a result-cache miss) on a warm statement cache. The
+/// table stays at six rows, so plan size is the only axis that grows.
+double BestChainSeconds(int n) {
+  sql::Session session;
+  const std::string load = "INSERT INTO t VALUES (0), (1), (2), (3), (4), (5)";
+  EXPECT_TRUE(session.Execute("CREATE TABLE t (x INT)").ok());
+  EXPECT_TRUE(session.Execute(load).ok());
+  double best = 1e9;
+  for (int run = 0; run < 4; ++run) {
+    std::string sql;
+    for (int i = 0; i < n; ++i) {
+      if (i > 0) sql += " UNION ";
+      sql += "SELECT x FROM t WHERE x = " + std::to_string((i + run) % 8);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = session.Execute(sql);
+    const std::chrono::duration<double> secs =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    // The first run plans the skeleton; the timed three reuse it.
+    if (run > 0) best = std::min(best, secs.count());
+  }
+  return best;
+}
+
+/// Runs `fn` on a thread with a 64 MiB stack and waits for it. Planning
+/// and execution recurse once per plan level, and under AddressSanitizer
+/// a 1000-branch chain needs more than the default 8 MiB stack.
+void RunOnLargeStack(std::function<void()> fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{64} << 20), 0);
+  auto trampoline = [](void* arg) -> void* {
+    (*static_cast<std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &fn), 0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+// Statement cost grows about linearly with plan size: four times the
+// branches must cost well under eight times as much (linear growth gives
+// about 4x; the former per-execution plan clone was quadratic to cubic,
+// 16x or more). A ratio keeps the check meaningful under sanitizers.
+TEST(PlanSizeScalingTest, UnionChainCostGrowsLinearly) {
+  double small = 0;
+  double large = 0;
+  RunOnLargeStack([&] {
+    small = BestChainSeconds(250);
+    large = BestChainSeconds(1000);
+  });
+  EXPECT_LT(large, 8 * small) << small << " s vs " << large << " s";
 }
 
 }  // namespace

@@ -323,6 +323,40 @@ TEST(SessionTest, DeleteRespectsVisibility) {
   EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 0u);
 }
 
+// Under lazy removal expired tuples stay stored; a WHERE-DELETE must
+// remove exactly the live matches and leave the expired ones alone.
+TEST(SessionTest, DeleteRemovesExactlyTheLiveMatches) {
+  Session::Options opts;
+  opts.expiration.policy = RemovalPolicy::kLazy;
+  opts.expiration.lazy_compaction_threshold = 0;  // never compact
+  Session s(opts);
+  MustExec(s, "CREATE TABLE t (x INT, y INT)");
+  std::string expiring = "INSERT INTO t VALUES (0, 0)";
+  std::string lasting = "INSERT INTO t VALUES (1, 1)";
+  for (int x = 2; x < 200; ++x) {
+    (x % 2 == 0 ? expiring : lasting) +=
+        ", (" + std::to_string(x) + ", " + std::to_string(x % 3) + ")";
+  }
+  MustExec(s, expiring + " TTL 3");
+  MustExec(s, lasting);
+  MustExec(s, "ADVANCE TIME 5");
+  const Relation* t = s.db().GetRelation("t").value();
+  const size_t stored = t->size();
+  ASSERT_EQ(stored, 200u);  // lazy: the 100 expired tuples are still there
+  // Live tuples are the odd x; y = x % 3 = 1 for odd x in {1, 7, 13, ...}.
+  size_t live_matches = 0;
+  for (int x = 1; x < 200; x += 2) live_matches += x % 3 == 1;
+  auto r = MustExec(s, "DELETE FROM t WHERE y = 1");
+  EXPECT_NE(r.message.find(std::to_string(live_matches) + " rows"),
+            std::string::npos)
+      << r.message;
+  EXPECT_EQ(t->size(), stored - live_matches);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t WHERE y = 1")), 0u);
+  EXPECT_EQ(RowsAt(MustExec(s, "SELECT * FROM t")), 100u - live_matches);
+  // The expired matches were not touched.
+  EXPECT_TRUE(t->Contains(Tuple{4, 1}));
+}
+
 TEST(SessionTest, ShowStatements) {
   Session s;
   MustExec(s, "CREATE TABLE t (x INT)");
