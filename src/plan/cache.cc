@@ -217,88 +217,35 @@ std::optional<MaterializedResult> ResultCache::Lookup(const std::string& key,
     return std::nullopt;
   }
   Entry& e = it->second;
-  // Lapsed materialization: Theorem 2's identity window is over, and the
-  // propagator's cached analyses lapse with it.
-  if (!(now < e.result.texp)) {
+  DeltaPropagator::ApplyResult applied;
+  const CatchUpOutcome outcome = e.maintained.CatchUp(db, now, &applied);
+  const MaterializedResult& result = e.maintained.result();
+  // Anything but current or patched drops the entry; so does a patch
+  // whose result has already lapsed.
+  const bool keep = outcome == CatchUpOutcome::kCurrent ||
+                    (outcome == CatchUpOutcome::kPatched && now < result.texp);
+  if (!keep) {
     EraseEntry(it);
     CountMiss();
     return std::nullopt;
   }
-  std::vector<BaseDelta> deltas;
-  bool drifted = false;
-  for (auto& [name, cursor] : e.bases) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    const Relation* base = rel.value();
-    // Instance churn = a different body of data under the name; an epoch
-    // bump with a broken/trimmed history (Clear(), ring overflow) shows
-    // up as DeltasSince -> nullopt below. Either way: never serve stale.
-    if (base->delta_instance_id() == 0 ||
-        base->delta_instance_id() != cursor.instance_id) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    if (base->delta_epoch() == cursor.epoch) continue;
-    drifted = true;
-    if (e.propagator == nullptr) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    auto batches = base->DeltasSince(cursor.epoch);
-    if (!batches.has_value()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    deltas.push_back({name, std::move(*batches)});
-  }
-  if (drifted) {
-    auto applied = e.propagator->Apply(deltas, now);
-    if (!applied.ok()) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    DeltaPropagator::ApplyOps(applied.value().root_ops, &e.result.relation);
-    e.result.texp = applied.value().texp;
-    e.result.materialized_at = now;
-    e.result.validity = IntervalSet(now, e.result.texp);
-    if (!(now < e.result.texp)) {
-      EraseEntry(it);
-      CountMiss();
-      return std::nullopt;
-    }
-    for (auto& [name, cursor] : e.bases) {
-      auto rel = db.GetRelation(name);
-      if (rel.ok()) cursor = rel.value()->delta_cursor();
-    }
-    const size_t new_bytes = EstimateResultBytes(e.result.relation);
+  if (outcome == CatchUpOutcome::kPatched) {
+    const size_t new_bytes = EstimateResultBytes(result.relation);
     bytes_ += new_bytes - e.bytes;
     e.bytes = new_bytes;
     bytes_gauge_.Set(static_cast<int64_t>(bytes_));
     ++patches_;
     patches_total_->Increment();
     LogCacheEvent("cache_patch",
-                  {{"ops", std::to_string(applied.value().ops_out)},
-                   {"texp", e.result.texp.ToString()}});
+                  {{"ops", std::to_string(applied.ops_out)},
+                   {"texp", result.texp.ToString()}});
+    // EvictFor never evicts `key` itself, so `it` stays valid.
     if (bytes_ > max_bytes_) EvictFor(0, &key);
-    // The patch may have evicted this very entry when it no longer fits.
-    it = entries_.find(key);
-    if (it == entries_.end()) {
-      CountMiss();
-      return std::nullopt;
-    }
   }
   Touch(&it->second);
   ++hits_;
   hits_total_->Increment();
-  return it->second.result;
+  return result;
 }
 
 void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
@@ -310,35 +257,15 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
   if (!(now < result.texp)) return;
   std::lock_guard<std::mutex> guard(mu_);
   if (max_bytes_ == 0) return;
-  std::vector<std::pair<std::string, Relation::DeltaCursor>> bases;
-  for (const std::string& name : plan->planned_expr()->BaseRelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) return;
-    // Without tracking the cursors would never move and the cache would
-    // serve stale data after the first INSERT/DELETE; enabling is
-    // idempotent and metadata-only (allowed through const access).
-    rel.value()->EnableDeltaTracking();
-    bases.emplace_back(name, rel.value()->delta_cursor());
-  }
   const size_t bytes = EstimateResultBytes(result.relation);
   if (bytes > max_bytes_) return;
+  MaintainedResult maintained(std::move(plan), std::move(result));
+  if (!maintained.Seed(db, capture)) return;
   auto existing = entries_.find(key);
   if (existing != entries_.end()) EraseEntry(existing);
   EvictFor(bytes, nullptr);
-  std::unique_ptr<DeltaPropagator> propagator;
-  if (capture != nullptr) {
-    propagator =
-        DeltaPropagator::Create(plan, *capture, plan->options().eval);
-  }
   lru_.push_front(key);
-  Entry e;
-  e.plan = std::move(plan);
-  e.result = std::move(result);
-  e.bases = std::move(bases);
-  e.propagator = std::move(propagator);
-  e.bytes = bytes;
-  e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
+  entries_.emplace(key, Entry{std::move(maintained), bytes, lru_.begin()});
   bytes_ += bytes;
   bytes_gauge_.Set(static_cast<int64_t>(bytes_));
 }
@@ -346,14 +273,8 @@ void ResultCache::Insert(const std::string& key, PhysicalPlanPtr plan,
 void ResultCache::InvalidateBase(const std::string& name) {
   std::lock_guard<std::mutex> guard(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
-    bool reads = false;
-    for (const auto& [base, cursor] : it->second.bases) {
-      if (base == name) {
-        reads = true;
-        break;
-      }
-    }
-    if (reads) {
+    const ExpressionPtr& expr = it->second.maintained.plan()->planned_expr();
+    if (expr->BaseRelationNames().count(name) > 0) {
       auto victim = it++;
       EraseEntry(victim);
     } else {
@@ -387,7 +308,7 @@ size_t ResultCache::CountStaleAt(Timestamp now) const {
   std::lock_guard<std::mutex> guard(mu_);
   size_t stale = 0;
   for (const auto& [key, entry] : entries_) {
-    if (entry.result.texp <= now) ++stale;
+    if (entry.maintained.result().texp <= now) ++stale;
   }
   return stale;
 }

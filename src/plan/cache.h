@@ -13,9 +13,10 @@
 // revalidation-free: a materialization is provably identical to
 // recomputation at every τ' in [materialized_at, texp(e)) (Theorems 1–2),
 // so a hit needs only (a) every base relation's delta cursor unchanged and
-// (b) now < texp. On small cursor drift the entry is *patched* through
-// plan::DeltaPropagator instead of discarded; eviction is LRU over a byte
-// budget (`SET result_cache_bytes`).
+// (b) now < texp. On small cursor drift the entry is *patched* instead of
+// discarded. Both checks and the patch are plan::MaintainedResult's
+// catch-up step, the same one materialized views run; the cache adds
+// only LRU eviction over a byte budget (`SET result_cache_bytes`).
 
 #ifndef EXPDB_PLAN_CACHE_H_
 #define EXPDB_PLAN_CACHE_H_
@@ -34,8 +35,8 @@
 #include "common/value.h"
 #include "core/materialized_result.h"
 #include "obs/metrics.h"
-#include "plan/delta.h"
 #include "plan/executor.h"
+#include "plan/maintained_result.h"
 #include "plan/plan.h"
 #include "relational/database.h"
 
@@ -139,16 +140,15 @@ std::string ResultCacheKey(const std::string& fingerprint,
 /// \brief LRU-over-byte-budget cache of materialized query results,
 /// validity-stamped with the paper's computed expiration times.
 ///
-/// Per entry: the bound plan (shared skeleton plus arguments), the
-/// MaterializedResult, one Relation::DeltaCursor per base relation, and
-/// (when the plan is incrementalizable) a seeded DeltaPropagator. Lookup
-/// outcomes:
+/// An entry is a MaintainedResult (bound plan, materialization, base
+/// cursors, optional propagator) plus its byte estimate and LRU position.
+/// Lookup maps the entry's CatchUpOutcome to:
 ///
-///   hit    — every cursor unchanged and now < texp: served verbatim.
-///   patch  — cursors drifted but the delta streams are available and the
-///            result has not lapsed: patched in place, then served.
-///   miss   — anything else (absent, expired, history broken, Clear()'d
-///            base, instance-id churn, patch failure): entry dropped.
+///   hit    — kCurrent: served verbatim.
+///   patch  — kPatched and the patched result has not lapsed: served.
+///   miss   — anything else (absent key, lapsed, base missing or
+///            replaced, history lost, no propagator, patch failure):
+///            entry dropped. docs/PERFORMANCE.md §6 has the full table.
 ///
 /// Thread-safe: the engine shares one instance across every session; all
 /// operations serialize on an internal mutex. Callers must still hold the
@@ -189,12 +189,11 @@ class ResultCache {
   std::optional<MaterializedResult> Lookup(const std::string& key,
                                            const Database& db, Timestamp now);
 
-  /// \brief Caches one execution's result. Enables delta tracking on
-  /// every base (so future mutations advance the cursors this entry
-  /// snapshots), seeds a propagator from `capture` when available, and
-  /// evicts LRU entries to fit the budget. No-op when disabled, when the
-  /// result is already lapsed, or when the entry alone exceeds the
-  /// budget.
+  /// \brief Caches one execution's result: seeds a MaintainedResult
+  /// (delta tracking, base cursors, and a propagator from `capture` when
+  /// available) and evicts LRU entries to fit the budget. No-op when
+  /// disabled, when the result is already lapsed, or when the entry alone
+  /// exceeds the budget.
   void Insert(const std::string& key, PhysicalPlanPtr plan,
               const NodeCapture* capture, MaterializedResult result,
               const Database& db, Timestamp now);
@@ -214,10 +213,7 @@ class ResultCache {
 
  private:
   struct Entry {
-    PhysicalPlanPtr plan;
-    MaterializedResult result;
-    std::vector<std::pair<std::string, Relation::DeltaCursor>> bases;
-    std::unique_ptr<DeltaPropagator> propagator;
+    MaintainedResult maintained;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };

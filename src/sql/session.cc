@@ -628,13 +628,9 @@ Result<ExecResult> Session::ExecuteCreateTable(
     const CreateTableStatement& stmt) {
   EXPDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(stmt.columns));
   engine::Engine::ExclusiveGuard lock = engine_->LockExclusive();
-  EXPDB_ASSIGN_OR_RETURN(
-      Relation * rel,
-      engine_->expiration().CreateRelation(stmt.name, std::move(schema)));
-  // Pre-enable delta tracking: view maintenance and the result cache both
-  // need cursors over this relation, and enabling at CREATE time keeps
-  // cursor history anchored at the table's birth.
-  rel->EnableDeltaTracking();
+  EXPDB_RETURN_NOT_OK(
+      engine_->expiration().CreateRelation(stmt.name, std::move(schema))
+          .status());
   // A plan cached before this CREATE bound a different (since-dropped)
   // schema under the same name.
   engine_->InvalidateCachesFor(stmt.name);

@@ -124,8 +124,8 @@ Status MaterializedView::EnsurePlan(const Database& db) {
   return Status::OK();
 }
 
-void MaterializedView::MaybeReplan(const Database& db) {
-  if (plan_ == nullptr) return;
+bool MaterializedView::MaybeReplan(const Database& db) {
+  if (plan_ == nullptr) return false;
   for (const auto& [name, planned_size] : plan_base_sizes_) {
     auto rel = db.GetRelation(name);
     if (!rel.ok()) continue;
@@ -136,18 +136,18 @@ void MaterializedView::MaybeReplan(const Database& db) {
     // ≥2× drift (0 → anything counts): the estimates behind build-side
     // and parallelism choices are off enough to be worth re-deriving.
     if (hi >= 2 * lo) {
-      plan_.reset();
-      plan_base_sizes_.clear();
-      propagator_.reset();
-      base_cursors_.clear();
+      // Log first: `name` and `planned_size` refer into plan_base_sizes_.
       metrics_.replans.Increment();
       LogViewEvent(name_, "replan",
                    {{"base", name},
                     {"planned_size", std::to_string(planned_size)},
                     {"current_size", std::to_string(size)}});
-      return;
+      plan_.reset();
+      plan_base_sizes_.clear();
+      return true;
     }
   }
+  return false;
 }
 
 Status MaterializedView::Recompute(const Database& db, Timestamp now,
@@ -157,11 +157,10 @@ Status MaterializedView::Recompute(const Database& db, Timestamp now,
       count_as_maintenance ? &metrics_.recompute_latency : nullptr);
   MaybeReplan(db);
   EXPDB_RETURN_NOT_OK(EnsurePlan(db));
-  // The recompute invalidates any previously seeded incremental state;
-  // capture the per-node materializations to reseed it when the plan is
-  // incrementalizable.
-  propagator_.reset();
-  base_cursors_.clear();
+  // Release the old seed (cursors, propagator) before the re-execution
+  // captures every node; the old result stays in place if it fails.
+  maintained_ = plan::MaintainedResult(
+      plan_, std::move(*maintained_.mutable_result()));
   // Demand-driven: the capture + seeding cost is only paid once the view
   // has actually seen an explicit update (update_seen_); expiration-only
   // views recompute exactly as cheaply as before the delta engine.
@@ -170,110 +169,79 @@ Status MaterializedView::Recompute(const Database& db, Timestamp now,
       plan::PlanSupportsDelta(*plan_, options_.eval);
   plan::NodeCapture capture;
   plan::NodeCapture* capture_ptr = want_delta ? &capture : nullptr;
+  MaterializedResult result;
   if (options_.mode == RefreshMode::kPatchDifference) {
     EXPDB_ASSIGN_OR_RETURN(DifferenceEvalResult diff,
                            plan::ExecutePlanDifferenceRoot(
                                *plan_, db, now, options_.eval,
                                /*profile=*/nullptr, capture_ptr));
-    result_ = std::move(diff.result);
+    result = std::move(diff.result);
     helper_ = std::move(diff.helper);
     patch_cursor_ = 0;
     // Patching neutralizes the root's own invalidations (Theorem 3): only
     // argument invalidations remain.
-    result_.texp = diff.children_texp;
+    result.texp = diff.children_texp;
   } else {
     EXPDB_ASSIGN_OR_RETURN(
-        result_, plan::ExecutePlan(*plan_, db, now, options_.eval,
-                                   /*profile=*/nullptr, capture_ptr));
+        result, plan::ExecutePlan(*plan_, db, now, options_.eval,
+                                  /*profile=*/nullptr, capture_ptr));
   }
-  if (want_delta) SeedPropagator(db, capture);
+  maintained_ = plan::MaintainedResult(plan_, std::move(result));
+  if (want_delta) maintained_.Seed(db, capture_ptr);
+  const Relation& relation = maintained_.result().relation;
   if (count_as_maintenance) {
     metrics_.recomputations.Increment();
-    metrics_.tuples_recomputed.Increment(result_.relation.size());
+    metrics_.tuples_recomputed.Increment(relation.size());
   }
   LogViewEvent(name_, "recompute",
-               {{"tuples", std::to_string(result_.relation.size())},
-                {"texp", result_.texp.ToString()},
+               {{"tuples", std::to_string(relation.size())},
+                {"texp", texp().ToString()},
                 {"maintenance", count_as_maintenance ? "true" : "false"}});
   UpdateGauges();
   return Status::OK();
 }
 
-void MaterializedView::SeedPropagator(const Database& db,
-                                      const plan::NodeCapture& capture) {
-  propagator_ =
-      plan::DeltaPropagator::Create(plan_, capture, options_.eval);
-  if (propagator_ == nullptr) return;
-  base_cursors_.clear();
-  for (const std::string& name : expr_->BaseRelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) {
-      // A base the expression reads is missing; the next execution fails
-      // anyway — stay on the full path.
-      propagator_.reset();
-      base_cursors_.clear();
-      return;
-    }
-    // Turn on delta capture so future explicit mutations are recorded
-    // (idempotent; metadata-only, hence allowed through const access).
-    rel.value()->EnableDeltaTracking();
-    base_cursors_[name] = rel.value()->delta_cursor();
+Status MaterializedView::CatchUpStale(const Database& db, Timestamp now) {
+  // A base cardinality that drifted ≥2× from its plan-time snapshot drops
+  // the plan first; the recompute below re-derives it.
+  const bool replanned = MaybeReplan(db);
+  plan::CatchUpOutcome outcome = plan::CatchUpOutcome::kNotIncremental;
+  plan::DeltaPropagator::ApplyResult applied;
+  if (!replanned && maintained_.incremental()) {
+    obs::ScopedSpan span("view.delta_apply", &metrics_.delta_latency);
+    // Patch mode: bring the materialization up to date with the helper
+    // queue first — the propagator models appeared criticals as present.
+    if (options_.mode == RefreshMode::kPatchDifference) ApplyPatches(now);
+    outcome = maintained_.CatchUp(db, now, &applied);
   }
-}
-
-Result<bool> MaterializedView::TryApplyDeltas(const Database& db,
-                                              Timestamp now) {
-  if (propagator_ == nullptr) return false;
-  // The propagator's cached analyses (aggregate partitions, difference
-  // criticals) are only valid while the materialization is: a lapsed
-  // texp(e) means recompute.
-  if (result_.texp <= now) return false;
-  std::vector<plan::BaseDelta> deltas;
-  for (const auto& [name, cursor] : base_cursors_) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) return false;
-    const Relation* base = rel.value();
-    // An instance-id mismatch means a different body of data now lives
-    // under the name (wholesale replacement, catalog churn): the stream
-    // does not describe our seed state.
-    if (base->delta_instance_id() == 0 ||
-        base->delta_instance_id() != cursor.instance_id) {
-      return false;
-    }
-    auto batches = base->DeltasSince(cursor.epoch);
-    if (!batches.has_value()) return false;  // ring trimmed / history broken
-    if (!batches->empty()) {
-      deltas.push_back({name, std::move(*batches)});
-    }
+  if (outcome != plan::CatchUpOutcome::kCurrent &&
+      outcome != plan::CatchUpOutcome::kPatched) {
+    // Anything the shared cycle cannot prove falls back to the full
+    // rebuild (sound by construction).
+    metrics_.delta_fallbacks.Increment();
+    LogViewEvent(
+        name_, "delta_fallback",
+        {{"reason", replanned
+                        ? "replan"
+                        : std::string(plan::CatchUpOutcomeToString(outcome))},
+         {"texp", texp().ToString()}});
+    return Recompute(db, now);
   }
-  obs::ScopedSpan span("view.delta_apply", &metrics_.delta_latency);
-  // Patch mode: bring the materialization up to date with the helper
-  // queue first — the propagator models appeared criticals as present.
-  if (options_.mode == RefreshMode::kPatchDifference) ApplyPatches(now);
-  EXPDB_ASSIGN_OR_RETURN(plan::DeltaPropagator::ApplyResult applied,
-                         propagator_->Apply(deltas, now));
-  plan::DeltaPropagator::ApplyOps(applied.root_ops, &result_.relation);
   if (options_.mode == RefreshMode::kPatchDifference &&
       applied.root_is_difference) {
     helper_ = std::move(applied.helper);
     patch_cursor_ = 0;
-    result_.texp = applied.children_texp;
-  } else {
-    result_.texp = applied.texp;
-  }
-  result_.materialized_at = now;
-  result_.validity = IntervalSet(now, result_.texp);
-  for (auto& [name, cursor] : base_cursors_) {
-    auto rel = db.GetRelation(name);
-    if (rel.ok()) cursor.epoch = rel.value()->delta_epoch();
+    MaterializedResult* result = maintained_.mutable_result();
+    result->texp = applied.children_texp;
+    result->validity = IntervalSet(now, result->texp);
   }
   metrics_.delta_applies.Increment();
   metrics_.delta_tuples.Increment(applied.ops_out);
   LogViewEvent(name_, "delta_apply",
                {{"tuples", std::to_string(applied.ops_out)},
-                {"texp", result_.texp.ToString()}});
+                {"texp", texp().ToString()}});
   UpdateGauges();
-  return true;
+  return Status::OK();
 }
 
 void MaterializedView::ApplyPatches(Timestamp now) {
@@ -285,7 +253,8 @@ void MaterializedView::ApplyPatches(Timestamp now) {
     // is already past its own expiration, the insert would be invisible —
     // skip it.
     if (entry.expires_at > now) {
-      result_.relation.InsertUnchecked(entry.tuple, entry.expires_at);
+      maintained_.mutable_result()->relation.InsertUnchecked(
+          entry.tuple, entry.expires_at);
       metrics_.patches_applied.Increment();
     }
   }
@@ -296,7 +265,7 @@ void MaterializedView::UpdateGauges() {
   metrics_.pending_patches.Set(
       static_cast<int64_t>(helper_.size() - patch_cursor_));
   metrics_.materialized_tuples.Set(
-      static_cast<int64_t>(result_.relation.size()));
+      static_cast<int64_t>(maintained_.result().relation.size()));
 }
 
 Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
@@ -307,40 +276,15 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
   last_advance_ = now;
   if (stale_) {
     // An explicit base update invalidated the expiration-only contract.
-    // Preferred path: pull the recorded base deltas and push them through
-    // the cached plan — O(|delta|). Anything the incremental machinery
-    // cannot prove falls back to the full rebuild (sound by
-    // construction).
-    // If a base cardinality drifted ≥2× from its plan-time snapshot the
-    // plan's performance annotations are stale: drop it (which also
-    // drops the propagator) and let the recompute below re-derive both.
-    MaybeReplan(db);
-    bool applied = false;
-    if (options_.incremental) {
-      auto incremental = TryApplyDeltas(db, now);
-      if (incremental.ok()) {
-        applied = incremental.value();
-      } else {
-        // The propagator's state may be mid-update; discard it. The
-        // recompute below reseeds.
-        propagator_.reset();
-        base_cursors_.clear();
-      }
-    }
-    if (!applied) {
-      metrics_.delta_fallbacks.Increment();
-      LogViewEvent(name_, "delta_fallback",
-                   {{"texp", result_.texp.ToString()}});
-      EXPDB_RETURN_NOT_OK(Recompute(db, now));
-    }
+    EXPDB_RETURN_NOT_OK(CatchUpStale(db, now));
     stale_ = false;
   }
   switch (options_.mode) {
     case RefreshMode::kEagerRecompute: {
       // Recompute at every invalidation instant. Each recomputation's
       // texp is strictly in its future, so this terminates.
-      while (result_.texp <= now) {
-        EXPDB_RETURN_NOT_OK(Recompute(db, result_.texp));
+      while (texp() <= now) {
+        EXPDB_RETURN_NOT_OK(Recompute(db, texp()));
       }
       return Status::OK();
     }
@@ -352,8 +296,8 @@ Status MaterializedView::AdvanceTo(const Database& db, Timestamp now) {
       ApplyPatches(now);
       // Argument invalidation (only possible with non-monotonic
       // arguments) still forces a rebuild.
-      while (result_.texp <= now) {
-        EXPDB_RETURN_NOT_OK(Recompute(db, result_.texp));
+      while (texp() <= now) {
+        EXPDB_RETURN_NOT_OK(Recompute(db, texp()));
         ApplyPatches(now);
       }
       return Status::OK();
@@ -378,46 +322,46 @@ Result<Relation> MaterializedView::Read(const Database& db, Timestamp now,
       if (metrics_.recomputations.value() == recomputes_before) {
         metrics_.reads_from_materialization.Increment();
       }
-      return result_.relation.UnexpiredAt(now);
+      return result().relation.UnexpiredAt(now);
 
     case RefreshMode::kLazyRecompute:
-      if (result_.texp <= now) {
+      if (texp() <= now) {
         EXPDB_RETURN_NOT_OK(Recompute(db, now));
       } else {
         metrics_.reads_from_materialization.Increment();
       }
-      return result_.relation.UnexpiredAt(now);
+      return result().relation.UnexpiredAt(now);
 
     case RefreshMode::kSchrodinger: {
-      if (result_.validity.Contains(now)) {
+      if (validity().Contains(now)) {
         metrics_.reads_from_materialization.Increment();
-        return result_.relation.UnexpiredAt(now);
+        return result().relation.UnexpiredAt(now);
       }
       switch (options_.move_policy) {
         case MovePolicy::kRecompute:
           EXPDB_RETURN_NOT_OK(Recompute(db, now));
-          return result_.relation.UnexpiredAt(now);
+          return result().relation.UnexpiredAt(now);
         case MovePolicy::kMoveBackward: {
-          auto t = result_.validity.LastValidBefore(now);
+          auto t = validity().LastValidBefore(now);
           if (!t.has_value()) {
             EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result_.relation.UnexpiredAt(now);
+            return result().relation.UnexpiredAt(now);
           }
           metrics_.reads_moved_backward.Increment();
           metrics_.reads_from_materialization.Increment();
           if (served_at != nullptr) *served_at = *t;
-          return result_.relation.UnexpiredAt(*t);
+          return result().relation.UnexpiredAt(*t);
         }
         case MovePolicy::kMoveForward: {
-          auto t = result_.validity.FirstValidAtOrAfter(now);
+          auto t = validity().FirstValidAtOrAfter(now);
           if (!t.has_value() || t->IsInfinite()) {
             EXPDB_RETURN_NOT_OK(Recompute(db, now));
-            return result_.relation.UnexpiredAt(now);
+            return result().relation.UnexpiredAt(now);
           }
           metrics_.reads_moved_forward.Increment();
           metrics_.reads_from_materialization.Increment();
           if (served_at != nullptr) *served_at = *t;
-          return result_.relation.UnexpiredAt(*t);
+          return result().relation.UnexpiredAt(*t);
         }
       }
       return Status::Internal("unknown move policy");

@@ -7,8 +7,12 @@
 // paths is swept in delta_property_test.cc; these tests pin the
 // staleness protocol itself.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/eval.h"
+#include "obs/log.h"
 #include "sql/session.h"
 #include "view/view_manager.h"
 
@@ -118,6 +122,87 @@ TEST(StalenessTest, StalePatchViewRebuildsHelper) {
   auto at12 = view.Read(db, T(12)).MoveValue();
   EXPECT_EQ(at12.size(), 2u);  // <2> patched back in
 }
+
+/// A break in a base's delta cursor, and the fallback reason it must
+/// produce.
+struct CursorBreak {
+  const char* name;
+  bool replace;  ///< Database::PutRelation (new instance id), else Clear()
+  const char* reason;
+};
+
+class CursorBreakTest : public ::testing::TestWithParam<CursorBreak> {};
+
+/// The view-side twin of ResultCacheTest's cleared/recreated-base cases:
+/// a seeded incremental view whose base history is gone must recompute,
+/// never patch from a stream that does not describe its seed state.
+TEST_P(CursorBreakTest, SeededViewFallsBackToRecompute) {
+  Database db;
+  ASSERT_TRUE(
+      db.CreateRelation("R", Schema({{"x", ValueType::kInt64}})).ok());
+  for (int64_t x = 1; x <= 4; ++x) {
+    ASSERT_TRUE(db.Insert("R", Tuple{x}, T(100)).ok());
+  }
+  const ExpressionPtr expr = Base("R");
+  MaterializedView view(expr, {});
+  ASSERT_TRUE(view.Initialize(db, T(0)).ok());
+  // The first explicit update recomputes and seeds; the second one takes
+  // the delta path, proving the view is seeded.
+  for (int64_t x : {5, 6}) {
+    ASSERT_TRUE(db.Insert("R", Tuple{x}, T(100)).ok());
+    view.MarkStale();
+    ASSERT_TRUE(view.Read(db, T(x - 4)).ok());
+  }
+  ASSERT_EQ(view.stats().delta_applies, 1u);
+  ASSERT_EQ(view.stats().delta_fallbacks, 1u);
+
+  // Three tuples: the size stays within 2× of the plan-time four, so no
+  // re-plan masks the cursor break.
+  if (GetParam().replace) {
+    Relation fresh(Schema({{"x", ValueType::kInt64}}));
+    for (int64_t x : {7, 8, 9}) ASSERT_TRUE(fresh.Insert(Tuple{x}, T(50)).ok());
+    ASSERT_TRUE(db.DropRelation("R").ok());
+    ASSERT_TRUE(db.PutRelation("R", std::move(fresh)).ok());
+  } else {
+    Relation* r = db.GetRelation("R").value();
+    r->Clear();
+    for (int64_t x : {7, 8, 9}) ASSERT_TRUE(r->Insert(Tuple{x}, T(50)).ok());
+  }
+
+  obs::EventLog& log = obs::EventLog::Global();
+  const bool was_enabled = log.enabled();
+  log.Clear();
+  log.set_enabled(true);
+  view.MarkStale();
+  auto read = view.Read(db, T(3));
+  log.set_enabled(was_enabled);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+
+  EXPECT_EQ(view.stats().delta_applies, 1u);
+  EXPECT_EQ(view.stats().delta_fallbacks, 2u);
+  auto fresh = Evaluate(expr, db, T(3));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(Relation::EqualAt(fresh->relation, *read, T(3)));
+  EXPECT_EQ(view.texp(), fresh->texp);
+
+  std::string reason;
+  for (const obs::LogEvent& e : log.Snapshot()) {
+    if (e.component != "view" || e.event != "delta_fallback") continue;
+    for (const auto& [key, value] : e.fields) {
+      if (key == "reason") reason = value;
+    }
+  }
+  log.Clear();
+  EXPECT_EQ(reason, GetParam().reason);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Breaks, CursorBreakTest,
+    ::testing::Values(CursorBreak{"cleared", false, "history_lost"},
+                      CursorBreak{"replaced", true, "base_replaced"}),
+    [](const ::testing::TestParamInfo<CursorBreak>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace expdb
